@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from random import Random
 
 from repro.db.engine import Database
@@ -105,10 +107,6 @@ class _Session:
     def _think(self) -> float:
         u = self.rng.random()
         return max(_MIN_THINK_SECONDS, -math.log1p(-u) * self.spec.think_seconds)
-
-    @property
-    def finished(self) -> bool:
-        return self.ops_left == 0 and self.execution is None
 
     def runnable(self, now: float) -> bool:
         if self.execution is not None:
@@ -195,6 +193,19 @@ class ServingFrontend:
                     _Session(tenant, spec, seed)
                 )
         self._rr: dict[str, int] = {name: 0 for name in self.class_map}
+        # The event calendar (DESIGN.md §15): per class, the sorted
+        # indices of runnable sessions and a wake heap of (ready_at,
+        # index) for the thinking and deferred ones.  A session with no
+        # ops left is on neither.  A session leaves the ready list only
+        # in ``_run_one``, so no iteration has to scan the sessions.
+        self._ready: dict[str, list[int]] = {n: [] for n in self.class_map}
+        self._wake: dict[str, list[tuple[float, int]]] = {}
+        for name, group in self.sessions.items():
+            waiting = [
+                (s.ready_at, i) for i, s in enumerate(group) if s.ops_left
+            ]
+            heapify(waiting)
+            self._wake[name] = waiting
         stride_one = float(1 << 16)
         self._stride = {
             name: stride_one / spec.weight
@@ -213,6 +224,7 @@ class ServingFrontend:
             )
         start = db.clock.now
         monitor = self.monitor
+        names, ready, wake = sorted(self.class_map), self._ready, self._wake
         while True:
             now = db.clock.now
             if monitor is not None:
@@ -220,19 +232,14 @@ class ServingFrontend:
                 # monitor reads the clock and the registry, never the
                 # reverse (DESIGN.md §16).
                 monitor.tick(now)
-            runnable = [
-                name
-                for name in sorted(self.class_map)
-                if any(s.runnable(now) for s in self.sessions[name])
-            ]
+            for name in names:
+                heap = wake[name]
+                while heap and heap[0][0] <= now:
+                    insort(ready[name], heappop(heap)[1])
+            runnable = [name for name in names if ready[name]]
             if not runnable:
                 horizon = min(
-                    (
-                        s.ready_at
-                        for group in self.sessions.values()
-                        for s in group
-                        if not s.finished
-                    ),
+                    (wake[name][0][0] for name in names if wake[name]),
                     default=None,
                 )
                 if horizon is None:
@@ -251,8 +258,8 @@ class ServingFrontend:
                     max(self._pass[name], floor) + self._stride[name]
                 )
             if self.saturated_quanta is None and any(
-                group and all(s.finished for s in group)
-                for group in self.sessions.values()
+                self.sessions[n] and not ready[n] and not wake[n]
+                for n in names
             ):
                 self.saturated_quanta = dict(self.quanta)
         if self.saturated_quanta is None:
@@ -279,22 +286,26 @@ class ServingFrontend:
                 self.admission.class_inflight(name)
             )
 
-    def _pick_session(self, name: str, now: float) -> _Session:
+    def _pick_session(self, name: str, now: float) -> int:
+        """Round robin over the ready list: the first ready session at or
+        after the class cursor, wrapping to the first one."""
+        ready = self._ready[name]
         group = self.sessions[name]
-        start = self._rr[name]
-        for offset in range(len(group)):
-            session = group[(start + offset) % len(group)]
-            if session.runnable(now):
-                self._rr[name] = (start + offset + 1) % len(group)
-                return session
-        raise StorageConfigError(  # pragma: no cover - guarded by caller
-            f"class {name!r} reported runnable but no session is"
-        )
+        pos = bisect_left(ready, self._rr[name])
+        index = ready[pos] if pos < len(ready) else ready[0]
+        if not group[index].runnable(now):
+            raise StorageConfigError(
+                f"class {name!r}: ready session {index} is not runnable"
+            )
+        self._rr[name] = (index + 1) % len(group)
+        return index
 
     def _run_one(self, name: str, now: float) -> bool:
         """Advance one session of a class; True if a quantum was served."""
-        session = self._pick_session(name, now)
+        index = self._pick_session(name, now)
+        session = self.sessions[name][index]
         if session.execution is None and not self._admit(session, now):
+            self._park(name, index)
             return False
         scheduler = self.db.storage.scheduler
         scheduler.begin_service_class(name)
@@ -304,7 +315,17 @@ class ServingFrontend:
             scheduler.end_service_class()
         if not more:
             self._complete(session)
+            self._park(name, index)
         return True
+
+    def _park(self, name: str, index: int) -> None:
+        """Take a session whose op was deferred, rejected or completed off
+        the ready list: onto the wake heap, or out if it has no ops left."""
+        ready = self._ready[name]
+        del ready[bisect_left(ready, index)]
+        session = self.sessions[name][index]
+        if session.ops_left:
+            heappush(self._wake[name], (session.ready_at, index))
 
     def _admit(self, session: _Session, now: float) -> bool:
         tenant = session.tenant.name
