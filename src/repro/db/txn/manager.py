@@ -202,11 +202,13 @@ class TransactionManager:
 
     def checkpoint(self) -> LogRecord:
         """Write a checkpoint: active-transaction table + dirty-page table
-        into the log, full file images into the durable store (the
-        simulator's stand-in for the data files on stable storage), then
-        force the log.  Durable history older than the *previous*
-        checkpoint is compacted away, so the store's footprint is bounded
-        by two checkpoint windows, not total write traffic."""
+        into the log, file images into the durable store (the simulator's
+        stand-in for the data files on stable storage), then force the
+        log.  Each image shares the unchanged pages of the newest stored
+        checkpoint's image of the same file.  Durable history older than
+        the *previous* checkpoint is compacted away, so the store's
+        footprint is bounded by two checkpoint windows, not total write
+        traffic."""
         if self._last_checkpoint_lsn:
             self.durable.compact(self._last_checkpoint_lsn)
         record = self.wal.append(
@@ -214,11 +216,13 @@ class TransactionManager:
             active_txns={t.txid: t.last_lsn for t in self.active.values()},
             dirty_pages=dict(self.dirty_pages),
         )
+        newest = self.durable.latest_checkpoint(record.lsn)
+        previous = newest[1] if newest is not None else {}
         images: dict[int, FileImage] = {}
         for fileid, heap in self.known_heaps().items():
-            images[fileid] = FileImage.of_heap(heap)
+            images[fileid] = FileImage.of_heap(heap, previous.get(fileid))
         for fileid, btree in self.known_btrees().items():
-            images[fileid] = FileImage.of_btree(btree)
+            images[fileid] = FileImage.of_btree(btree, previous.get(fileid))
         self.durable.record_checkpoint(record.lsn, images)
         self.wal.flush()
         self.checkpoints += 1

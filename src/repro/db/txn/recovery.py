@@ -67,7 +67,15 @@ def copy_btree_node(node: BTreeNode) -> BTreeNode:
 
 @dataclass
 class FileImage:
-    """Checkpoint-time image of one database file."""
+    """Checkpoint-time image of one database file.
+
+    Images are copy-on-change.  Given the same file's image from the
+    previous checkpoint, the page image at each page number is reused
+    when it still has the live page's ``page_lsn`` and its content
+    compares equal (``==``) to the live page; every other page is copied
+    afresh.  Sharing is safe because no image page is ever mutated —
+    crash restore copies out of them (DESIGN.md §8).
+    """
 
     kind: FileKind
     pages: list
@@ -75,17 +83,41 @@ class FileImage:
     entry_count: int = 0
 
     @classmethod
-    def of_heap(cls, heap: HeapFile) -> "FileImage":
-        return cls(
-            kind=FileKind.HEAP,
-            pages=[copy_heap_page(p) for p in heap.file.pages],
-        )
+    def of_heap(cls, heap: HeapFile, previous: "FileImage | None") -> "FileImage":
+        live = heap.file.pages
+        old = previous.pages if previous is not None else ()
+        # Inlined comparison: this runs once per page per checkpoint.
+        pages = [
+            frozen
+            if frozen.page_lsn == page.page_lsn
+            and frozen.num_deleted == page.num_deleted
+            and frozen.capacity == page.capacity
+            and frozen.rows == page.rows
+            else copy_heap_page(page)
+            for frozen, page in zip(old, live)
+        ]
+        pages.extend(copy_heap_page(page) for page in live[len(pages):])
+        return cls(kind=FileKind.HEAP, pages=pages)
 
     @classmethod
-    def of_btree(cls, btree: BTree) -> "FileImage":
+    def of_btree(cls, btree: BTree, previous: "FileImage | None") -> "FileImage":
+        live = btree.file.pages
+        old = previous.pages if previous is not None else ()
+        pages = [
+            frozen
+            if frozen.page_lsn == node.page_lsn
+            and frozen.leaf == node.leaf
+            and frozen.next_leaf == node.next_leaf
+            and frozen.keys == node.keys
+            and frozen.rids == node.rids
+            and frozen.children == node.children
+            else copy_btree_node(node)
+            for frozen, node in zip(old, live)
+        ]
+        pages.extend(copy_btree_node(node) for node in live[len(pages):])
         return cls(
             kind=FileKind.INDEX,
-            pages=[copy_btree_node(n) for n in btree.file.pages],
+            pages=pages,
             root_pageno=btree.root_pageno,
             entry_count=btree.entry_count,
         )
@@ -158,6 +190,8 @@ class DurableStore:
                 if lsn >= anchor_lsn
             ]
         for key, versions in self._page_flushes.items():
+            if len(versions) < 2:
+                continue  # a lone version is kept either way
             old = [v for v in versions if v[0] <= upto_lsn]
             recent = [v for v in versions if v[0] > upto_lsn]
             self._page_flushes[key] = old[-1:] + recent

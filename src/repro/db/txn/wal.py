@@ -121,12 +121,26 @@ class LogRecord:
         )
 
 
+_SCALAR_BYTES = {type(None): 1, bool: 1, int: 8, float: 8}
+"""Fixed sizes of the exact scalar types, for the size model's fast path."""
+
+
 def _payload_bytes(value) -> int:
-    """Size model for one serialized payload field."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
+    """Size model for one serialized payload field.
+
+    Dispatches on the exact type first (the common case: rows of plain
+    scalars); subclasses and dicts take the ``isinstance`` chain, which
+    gives every type the same size either way.
+    """
+    cls = type(value)
+    size = _SCALAR_BYTES.get(cls)
+    if size is not None:
+        return size
+    if cls is str:
+        return 4 + len(value)
+    if cls is tuple or cls is list:
+        return 4 + sum(map(_payload_bytes, value))
+    # None and bool cannot be subclassed, so the table above got them.
     if isinstance(value, (int, float)):
         return 8
     if isinstance(value, str):
