@@ -100,16 +100,24 @@ scalars = st.one_of(
 hashables = st.recursive(
     scalars, lambda inner: st.tuples(inner, inner), max_leaves=6
 )
-values = st.recursive(
-    scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5).map(tuple),
-        st.lists(inner, max_size=5),
-        st.lists(inner, max_size=3).map(MyTuple),
-        st.dictionaries(hashables, inner, max_size=4),
-    ),
-    max_leaves=25,
-)
+
+
+def nested(max_leaves: int):
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5).map(tuple),
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=3).map(MyTuple),
+            st.dictionaries(hashables, inner, max_size=4),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+values = nested(25)
+field_values = nested(6)
+
 
 _FIELDS = (
     "txid",
@@ -133,19 +141,19 @@ def records(draw):
     rtype = draw(st.sampled_from(LogRecordType))
     record = LogRecord(lsn=draw(st.integers(1, 2**40)), type=rtype)
     for name in draw(st.sets(st.sampled_from(_FIELDS))):
-        setattr(record, name, draw(values))
+        setattr(record, name, draw(field_values))
     return record
 
 
 @given(value=values)
-@settings(max_examples=400)
+@settings(max_examples=300)
 def test_record_sizes_match_reference_for_any_payload(value):
     record = LogRecord(lsn=1, type=LogRecordType.HEAP_UPDATE, row=value)
     assert record.size_bytes() == reference_size(record)
 
 
 @given(record=records())
-@settings(max_examples=300)
+@settings(max_examples=200)
 def test_every_record_type_matches_reference(record):
     assert record.size_bytes() == reference_size(record)
 
